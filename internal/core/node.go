@@ -107,7 +107,11 @@ func (n *Node) NoteDeparture(t overlay.Tombstone, now int64) {
 	if t.Node == n.id || t.Stamp < now-n.departureHorizon() {
 		return
 	}
-	n.grave.Note(t)
+	if !n.grave.Note(t) {
+		// Not news: the leaver left both views when its tombstone was first
+		// noted, and every insert path has filtered it out since.
+		return
+	}
 	n.rps.View().Remove(t.Node)
 	n.wup.View().Remove(t.Node)
 }

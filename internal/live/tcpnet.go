@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -57,6 +58,7 @@ type outConn struct {
 	dead    bool          // a write failed; subsequent sends are dropped
 	kick    chan struct{} // capacity 1: wake the writer
 	quit    chan struct{} // closed on teardown: drain pending, then close
+	done    chan struct{} // closed when the writer has exited
 }
 
 // take swaps the pending batch out, handing spare in as the new accumulation
@@ -189,8 +191,10 @@ func (t *TCPNet) Register(id news.NodeID) <-chan envelope {
 				return // listener closed
 			}
 			t.mu.Lock()
-			if t.closed || t.listeners[id] != ln {
-				// Torn down between Accept and registration.
+			if t.listeners[id] != ln {
+				// Torn down between Accept and registration. Close keeps
+				// its listeners registered until every outbound writer has
+				// drained, so frames flushed during Close are still read.
 				t.mu.Unlock()
 				conn.Close()
 				continue
@@ -251,7 +255,6 @@ func (t *TCPNet) Disconnect(id news.NodeID, graceful bool) {
 	delete(t.addrs, id)
 	delete(t.boxes, id)
 	ln := t.listeners[id]
-	delete(t.listeners, id)
 	sc := t.conns[addr]
 	delete(t.conns, addr)
 	inConns := t.inbound[id]
@@ -260,9 +263,18 @@ func (t *TCPNet) Disconnect(id news.NodeID, graceful bool) {
 	for c := range inConns {
 		conns = append(conns, c)
 	}
+	// A graceful leave keeps the listener accepting until the writer has
+	// drained, for the reason Close gives; the wait runs on a tracked
+	// goroutine, registered here next to the closed check.
+	linger := graceful && sc != nil && ln != nil
+	if linger {
+		t.wg.Add(1)
+	} else {
+		delete(t.listeners, id)
+	}
 	t.mu.Unlock()
 
-	if ln != nil {
+	if ln != nil && !linger {
 		ln.Close() // no new inbound connections
 	}
 	if sc != nil {
@@ -281,6 +293,18 @@ func (t *TCPNet) Disconnect(id news.NodeID, graceful bool) {
 			sc.c.Close()
 			close(sc.quit)
 		}
+	}
+	if linger {
+		go func() {
+			defer t.wg.Done()
+			<-sc.done
+			t.mu.Lock()
+			if t.listeners[id] == ln { // not replaced by a rejoin
+				delete(t.listeners, id)
+			}
+			t.mu.Unlock()
+			ln.Close()
+		}()
 	}
 	if !graceful {
 		// Kill the reader pumps: frames already in flight are lost with the
@@ -412,7 +436,7 @@ func (t *TCPNet) conn(addr string) *outConn {
 	if err != nil {
 		return nil
 	}
-	sc := &outConn{c: c, kick: make(chan struct{}, 1), quit: make(chan struct{})}
+	sc := &outConn{c: c, kick: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})}
 	t.mu.Lock()
 	if existing, ok := t.conns[addr]; ok { // lost a dial race
 		t.mu.Unlock()
@@ -434,6 +458,7 @@ func (t *TCPNet) conn(addr string) *outConn {
 // writeLoop drains one connection's pending buffer, one Write per batch.
 func (t *TCPNet) writeLoop(addr string, sc *outConn) {
 	defer t.wg.Done()
+	defer close(sc.done)
 	spare := getBuf()
 	defer putBuf(spare)
 	var timer *time.Timer
@@ -478,17 +503,22 @@ func (t *TCPNet) writeLoop(addr string, sc *outConn) {
 }
 
 // drain performs the graceful-close flush: whatever senders queued before
-// the teardown still leaves, bounded by a write deadline so Close cannot
-// hang on a stalled peer, then the connection closes.
+// the teardown still leaves, then the write side is shut and the drain waits
+// for the peer's reader to reach end of stream and hang up, so the frames
+// are known to be read (not sitting in an accept backlog) when it returns.
+// A deadline bounds both steps so teardown cannot hang on a stalled peer.
 func (t *TCPNet) drain(sc *outConn) {
 	sc.mu.Lock()
 	pending := sc.pending
 	sc.pending = nil
 	sc.dead = true
 	sc.mu.Unlock()
+	sc.c.SetDeadline(time.Now().Add(time.Second))
 	if len(pending) > 0 {
-		sc.c.SetWriteDeadline(time.Now().Add(time.Second))
 		sc.c.Write(pending)
+	}
+	if tc, ok := sc.c.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+		io.Copy(io.Discard, tc) // the peer never writes: this waits for its close
 	}
 	sc.c.Close()
 }
@@ -510,6 +540,10 @@ func (t *TCPNet) dropConn(addr string, sc *outConn) {
 
 // Close implements Network: stop accepting sends, flush every connection's
 // pending batch, tear down sockets and release the inbound queues.
+//
+// The listeners close only after every writer has drained: a connection
+// dialled by a recent Send can still be waiting in its listener's accept
+// backlog, and closing the listener then would reset it with its frames.
 func (t *TCPNet) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -517,16 +551,21 @@ func (t *TCPNet) Close() {
 		return
 	}
 	t.closed = true
-	listeners := t.listeners
 	conns := t.conns
-	boxes := t.boxes
-	t.listeners = map[news.NodeID]net.Listener{}
 	t.conns = map[string]*outConn{}
-	t.boxes = map[news.NodeID]chan envelope{}
 	t.mu.Unlock()
 	for _, sc := range conns {
 		close(sc.quit) // writer drains pending, then closes the socket
 	}
+	for _, sc := range conns {
+		<-sc.done
+	}
+	t.mu.Lock()
+	listeners := t.listeners
+	boxes := t.boxes
+	t.listeners = map[news.NodeID]net.Listener{}
+	t.boxes = map[news.NodeID]chan envelope{}
+	t.mu.Unlock()
 	for _, ln := range listeners {
 		ln.Close()
 	}

@@ -11,6 +11,7 @@
 package overlay
 
 import (
+	"cmp"
 	"slices"
 
 	"whatsup/internal/news"
@@ -30,31 +31,34 @@ func (t Tombstone) WireSize() int {
 }
 
 // Graveyard is a bounded-lifetime set of departure tombstones owned by one
-// node. It is not goroutine-safe. The zero value is ready to use; the map is
-// allocated lazily on the first Note so churn-free nodes never pay for it.
+// node. It is not goroutine-safe. The zero value is ready to use and holds
+// no memory, so churn-free nodes never pay for it.
 type Graveyard struct {
-	stamps map[news.NodeID]int64
-	// Cached orderings of the active set, rebuilt lazily after a change:
-	// every outgoing gossip message piggybacks the graveyard, so a gossip
-	// round over an unchanged graveyard must pay one sort, not one per
-	// message.
-	byNode  []Tombstone // sorted by node id (the full-set piggyback order)
-	byFresh []Tombstone // freshest stamp first (the capped-selection order)
-	nodeOK  bool
+	// byNode is the active set, kept sorted by node id (the full-set
+	// piggyback order) on every change, so forwarding it never sorts.
+	byNode []Tombstone
+	// byFresh caches the active set freshest stamp first (the
+	// capped-selection order), rebuilt lazily after a change: every outgoing
+	// gossip message piggybacks the graveyard, so a gossip round over an
+	// unchanged graveyard must pay one sort, not one per message.
+	byFresh []Tombstone
 	freshOK bool
 }
 
 // Len reports the number of active tombstones.
-func (g *Graveyard) Len() int { return len(g.stamps) }
+func (g *Graveyard) Len() int { return len(g.byNode) }
 
-// Contains reports whether the node has an active tombstone. It is nil-map
-// safe and O(1), so merge paths can call it per descriptor without cost when
-// no departures are in flight.
+// search returns the position of id in byNode and whether it is present.
+func (g *Graveyard) search(id news.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(g.byNode, id, func(t Tombstone, id news.NodeID) int {
+		return cmp.Compare(t.Node, id)
+	})
+}
+
+// Contains reports whether the node has an active tombstone. It is a binary
+// search that allocates nothing, so merge paths can call it per descriptor.
 func (g *Graveyard) Contains(id news.NodeID) bool {
-	if len(g.stamps) == 0 {
-		return false
-	}
-	_, ok := g.stamps[id]
+	_, ok := g.search(id)
 	return ok
 }
 
@@ -62,55 +66,35 @@ func (g *Graveyard) Contains(id news.NodeID) bool {
 // whether the tombstone was new information (new node or fresher stamp) —
 // the signal to keep forwarding it.
 func (g *Graveyard) Note(t Tombstone) bool {
-	if old, ok := g.stamps[t.Node]; ok && old >= t.Stamp {
+	i, ok := g.search(t.Node)
+	switch {
+	case !ok:
+		g.byNode = slices.Insert(g.byNode, i, t)
+	case g.byNode[i].Stamp < t.Stamp:
+		g.byNode[i].Stamp = t.Stamp
+	default:
 		return false
 	}
-	if g.stamps == nil {
-		g.stamps = make(map[news.NodeID]int64, 4)
-	}
-	g.stamps[t.Node] = t.Stamp
-	g.nodeOK, g.freshOK = false, false
+	g.freshOK = false
 	return true
 }
 
 // ExpireOlderThan drops every tombstone whose stamp is strictly older than
 // minStamp — the same strictly-older-than boundary View.EvictOlderThan uses —
-// and reports how many were dropped.
+// and reports how many were dropped. Survivors keep their node-id order.
 func (g *Graveyard) ExpireOlderThan(minStamp int64) int {
-	dropped := 0
-	for id, stamp := range g.stamps {
-		if stamp < minStamp {
-			delete(g.stamps, id)
-			dropped++
-		}
-	}
+	n := len(g.byNode)
+	g.byNode = slices.DeleteFunc(g.byNode, func(t Tombstone) bool { return t.Stamp < minStamp })
+	dropped := n - len(g.byNode)
 	if dropped > 0 {
-		g.nodeOK, g.freshOK = false, false
+		g.freshOK = false
 	}
 	return dropped
 }
 
 // AppendActive appends the active tombstones to dst sorted by node id, so
-// callers forwarding them on gossip emit a deterministic order regardless of
-// map iteration.
+// callers forwarding them on gossip emit a deterministic order.
 func (g *Graveyard) AppendActive(dst []Tombstone) []Tombstone {
-	if len(g.stamps) == 0 {
-		return dst
-	}
-	if !g.nodeOK {
-		g.byNode = g.rebuild(g.byNode)
-		slices.SortFunc(g.byNode, func(a, b Tombstone) int {
-			switch {
-			case a.Node < b.Node:
-				return -1
-			case a.Node > b.Node:
-				return 1
-			default:
-				return 0
-			}
-		})
-		g.nodeOK = true
-	}
 	return append(dst, g.byNode...)
 }
 
@@ -122,14 +106,11 @@ func (g *Graveyard) AppendActive(dst []Tombstone) []Tombstone {
 // descriptors are the ones most likely still circulating, while the oldest
 // are close to TTL-flushed anyway.
 func (g *Graveyard) AppendFreshest(dst []Tombstone, max int) []Tombstone {
-	if len(g.stamps) == 0 {
-		return dst
-	}
-	if max <= 0 || max >= len(g.stamps) {
+	if max <= 0 || max >= len(g.byNode) {
 		return g.AppendActive(dst)
 	}
 	if !g.freshOK {
-		g.byFresh = g.rebuild(g.byFresh)
+		g.byFresh = append(g.byFresh[:0], g.byNode...)
 		slices.SortFunc(g.byFresh, func(a, b Tombstone) int {
 			switch {
 			case a.Stamp > b.Stamp:
@@ -149,22 +130,9 @@ func (g *Graveyard) AppendFreshest(dst []Tombstone, max int) []Tombstone {
 	return append(dst, g.byFresh[:max]...)
 }
 
-// rebuild refills buf with the active set, unsorted. Both callers
-// immediately sort with a total order (node id is unique), so the map
-// iteration order cannot leak.
-func (g *Graveyard) rebuild(buf []Tombstone) []Tombstone {
-	buf = buf[:0]
-	//whatsup:commutative both callers sort with a total order
-	for id, stamp := range g.stamps {
-		buf = append(buf, Tombstone{Node: id, Stamp: stamp})
-	}
-	return buf
-}
-
 // Clear drops every tombstone (crash semantics: tombstones are volatile
 // state).
 func (g *Graveyard) Clear() {
-	clear(g.stamps)
 	g.byNode, g.byFresh = g.byNode[:0], g.byFresh[:0]
-	g.nodeOK, g.freshOK = false, false
+	g.freshOK = false
 }

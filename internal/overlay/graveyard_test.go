@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -203,5 +204,55 @@ func TestInsertAllLiveFiltersTombstoned(t *testing.T) {
 	fromLive.InsertAllFromLive(src, 1, &g)
 	if fromLive.Contains(2) || fromLive.Contains(1) || !fromLive.Contains(3) {
 		t.Fatal("InsertAllFromLive must apply the same tombstone + exclude filter")
+	}
+}
+
+// TestGraveyardMatchesSortedReference pins the incrementally sorted active
+// set against a reference indexed by node id, over random Note/Expire/Clear
+// sequences: same membership, freshest stamps, node-id piggyback order.
+func TestGraveyardMatchesSortedReference(t *testing.T) {
+	const nodes = 64
+	rng := rand.New(rand.NewSource(3))
+	var g Graveyard
+	var stamp [nodes]int64
+	var has [nodes]bool
+	for step := 0; step < 5000; step++ {
+		switch r := rng.Intn(20); {
+		case r < 14:
+			ts := Tombstone{Node: news.NodeID(rng.Intn(nodes)), Stamp: rng.Int63n(100)}
+			want := !has[ts.Node] || stamp[ts.Node] < ts.Stamp
+			if want {
+				stamp[ts.Node], has[ts.Node] = ts.Stamp, true
+			}
+			if got := g.Note(ts); got != want {
+				t.Fatalf("step %d: Note(%v)=%v, want %v", step, ts, got, want)
+			}
+		case r < 19:
+			min, want := rng.Int63n(100), 0
+			for id := range has {
+				if has[id] && stamp[id] < min {
+					has[id] = false
+					want++
+				}
+			}
+			if got := g.ExpireOlderThan(min); got != want {
+				t.Fatalf("step %d: ExpireOlderThan dropped %d, want %d", step, got, want)
+			}
+		default:
+			g.Clear()
+			has = [nodes]bool{}
+		}
+		var want []Tombstone
+		for id := range has {
+			if has[id] {
+				want = append(want, Tombstone{Node: news.NodeID(id), Stamp: stamp[id]})
+			}
+		}
+		if got := g.AppendActive(nil); !slices.Equal(got, want) {
+			t.Fatalf("step %d: AppendActive=%v, want %v", step, got, want)
+		}
+		if id := rng.Intn(nodes); g.Contains(news.NodeID(id)) != has[id] {
+			t.Fatalf("step %d: Contains(%d)=%v, want %v", step, id, !has[id], has[id])
+		}
 	}
 }

@@ -7,11 +7,12 @@
 // timestamp at which the descriptor was generated by that node (paper
 // Section II). Descriptor profiles are immutable snapshots: they are shared
 // freely between views and must never be mutated after creation. That
-// immutability is what makes the view's similarity cache sound — see
-// scoreCache.
+// immutability is what makes the view's per-slot similarity scores sound —
+// see View.
 package overlay
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 
@@ -48,78 +49,6 @@ func (d Descriptor) WireSize() int {
 	return size
 }
 
-// scoreKey identifies one (candidate descriptor) score in the cache. The
-// profile pointer is part of the key: descriptors are immutable snapshots,
-// so a pointer identifies fixed content, and because the map holds the
-// pointer the snapshot cannot be garbage-collected and its address cannot be
-// reused while the score is cached. Node and stamp are included so the cache
-// can be reasoned about in protocol terms (one score per candidate
-// generation) and cost nothing.
-type scoreKey struct {
-	node  news.NodeID
-	stamp int64
-	prof  *profile.Profile
-}
-
-// maxCachedScores bounds the per-view cache between invalidations; views
-// hold tens of entries, so this is reached only by long stretches without a
-// self-profile change under heavy descriptor churn.
-const maxCachedScores = 1024
-
-// scoreCache memoizes metric scores of candidate descriptors against one
-// target profile. Soundness: descriptor profiles are immutable snapshots and
-// the target is identified by (pointer, version) — Profile.Version() bumps
-// on every content mutation — so a hit can only return the exact float the
-// metric would recompute. Similarity values are therefore bit-identical with
-// the cache on or off, and simulation results do not depend on hit patterns.
-// The metric is not part of the key: a view is owned by one protocol
-// instance and scored with a single fixed metric for its whole lifetime.
-type scoreCache struct {
-	self    *profile.Profile // target the cached scores are valid against
-	version uint64           // self's version when the cache was (re)keyed
-	scores  map[scoreKey]float64
-}
-
-// lookup returns the cached score for d against (self, version), computing
-// and storing it on a miss. The caller guarantees the cache is keyed to
-// (self, version).
-func (c *scoreCache) lookup(metric profile.Metric, self *profile.Profile, d Descriptor) float64 {
-	k := scoreKey{node: d.Node, stamp: d.Stamp, prof: d.Profile}
-	if s, ok := c.scores[k]; ok {
-		return s
-	}
-	s := metric.Similarity(self, d.Profile)
-	if len(c.scores) >= maxCachedScores {
-		clear(c.scores)
-	}
-	c.scores[k] = s
-	return s
-}
-
-// rekey points the cache at a (possibly new) target profile version,
-// dropping stale scores. Reports whether the cache is usable.
-func (c *scoreCache) rekey(self *profile.Profile) {
-	if self == nil {
-		return
-	}
-	if c.self == self && c.version == self.Version() && c.scores != nil {
-		return
-	}
-	if c.scores == nil {
-		c.scores = make(map[scoreKey]float64, 64)
-	} else {
-		clear(c.scores)
-	}
-	c.self = self
-	c.version = self.Version()
-}
-
-// keyedTo reports whether the cache currently holds scores against exactly
-// this target profile content.
-func (c *scoreCache) keyedTo(self *profile.Profile) bool {
-	return self != nil && c.self == self && c.version == self.Version() && c.scores != nil
-}
-
 // scored pairs a descriptor with its similarity for the trim sort.
 type scored struct {
 	d Descriptor
@@ -128,14 +57,24 @@ type scored struct {
 
 // View is a bounded set of descriptors with at most one entry per node. A
 // view belongs to one node and is not goroutine-safe; its scratch buffers
-// and similarity cache are reused across calls by that single owner.
+// and similarity scores are reused across calls by that single owner.
+//
+// score[i] memoizes the metric score of entries[i] against (self, version);
+// NaN marks a slot not scored yet. Soundness: descriptor profiles are
+// immutable snapshots and Profile.Version bumps on every content mutation,
+// so a stored score is the exact float the metric would recompute, and
+// results do not depend on which slots happened to be scored. The metric is
+// not part of the key: a view is owned by one protocol instance and scored
+// with a single fixed metric for its whole lifetime.
 type View struct {
 	capacity int
 	entries  []Descriptor
+	score    []float64           // parallel to entries
 	index    map[news.NodeID]int // node -> position in entries
-	cache    scoreCache
-	perm     []int    // scratch for AppendRandomSample (Fisher–Yates)
-	ranked   []scored // scratch for TrimBySimilarity
+	self     *profile.Profile    // target the scores are valid against
+	version  uint64              // self's version when the scores were taken
+	perm     []int               // scratch for AppendRandomSample (Fisher–Yates)
+	ranked   []scored            // scratch for TrimBySimilarity
 }
 
 // NewView returns an empty view bounded to the given capacity.
@@ -146,6 +85,7 @@ func NewView(capacity int) *View {
 	return &View{
 		capacity: capacity,
 		entries:  make([]Descriptor, 0, capacity),
+		score:    make([]float64, 0, capacity),
 		index:    make(map[news.NodeID]int, capacity),
 	}
 }
@@ -217,11 +157,13 @@ func (v *View) Insert(d Descriptor) {
 	if i, ok := v.index[d.Node]; ok {
 		if d.Fresher(v.entries[i]) {
 			v.entries[i] = d
+			v.score[i] = math.NaN()
 		}
 		return
 	}
 	v.index[d.Node] = len(v.entries)
 	v.entries = append(v.entries, d)
+	v.score = append(v.score, math.NaN())
 }
 
 // InsertAll merges a batch of descriptors, skipping any for the excluded
@@ -274,9 +216,12 @@ func (v *View) Remove(id news.NodeID) {
 	last := len(v.entries) - 1
 	if i != last {
 		v.entries[i] = v.entries[last]
+		v.score[i] = v.score[last]
 		v.index[v.entries[i].Node] = i
 	}
+	v.entries[last] = Descriptor{} // do not pin the removed profile
 	v.entries = v.entries[:last]
+	v.score = v.score[:last]
 	delete(v.index, id)
 }
 
@@ -289,23 +234,23 @@ func (v *View) Remove(id news.NodeID) {
 // within one eviction horizon. The scan is deterministic and consumes no
 // randomness, so it is safe inside the engine's per-peer phases.
 func (v *View) EvictOlderThan(minStamp int64) int {
-	kept := v.entries[:0]
-	for _, d := range v.entries {
+	kept := 0
+	for i, d := range v.entries {
 		if d.Stamp < minStamp {
 			delete(v.index, d.Node)
 			continue
 		}
-		v.index[d.Node] = len(kept)
-		kept = append(kept, d)
+		v.index[d.Node] = kept
+		v.entries[kept] = d
+		v.score[kept] = v.score[i]
+		kept++
 	}
-	evicted := len(v.entries) - len(kept)
+	evicted := len(v.entries) - kept
 	// Zero the tail so evicted descriptor profiles are not pinned by the
 	// backing array.
-	tail := v.entries[len(kept):]
-	for i := range tail {
-		tail[i] = Descriptor{}
-	}
-	v.entries = kept
+	clear(v.entries[kept:])
+	v.entries = v.entries[:kept]
+	v.score = v.score[:kept]
 	return evicted
 }
 
@@ -377,23 +322,28 @@ func (v *View) TrimRandom(rng *rand.Rand) {
 // the same few descriptors, collapsing the overlay into disconnected
 // cliques. The rng comes from the owning node, so runs stay reproducible.
 //
-// Scores are served from the view's similarity cache keyed by (self,
-// self.Version()): as long as the node's own profile has not changed, a
-// candidate descriptor already scored — typically the surviving view
-// entries, re-ranked on every merge — is never scored again.
+// Only unscored slots are evaluated, and the kept entries carry their
+// scores forward: as long as the node's own profile has not changed, the
+// surviving view entries — re-ranked on every merge — are never scored
+// again. A change of self (pointer or version) rescores every slot.
 //
 //whatsup:hotpath
 func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *profile.Profile) {
-	if len(v.entries) <= v.capacity {
+	n := len(v.entries)
+	if n <= v.capacity {
 		return
 	}
-	v.cache.rekey(self)
-	if cap(v.ranked) < len(v.entries) {
-		v.ranked = make([]scored, 0, len(v.entries)*2) //whatsup:alloc scratch doubles then is reused across cycles
+	v.keyScores(self)
+	if cap(v.ranked) < n {
+		v.ranked = make([]scored, 0, n*2) //whatsup:alloc scratch doubles then is reused across cycles
 	}
-	ranked := v.ranked[:0]
-	for _, d := range v.entries {
-		ranked = append(ranked, scored{d, v.cache.lookup(metric, self, d)}) //whatsup:allow:hotalloc capacity reserved above
+	ranked := v.ranked[:n]
+	for i, d := range v.entries {
+		s := v.score[i]
+		if math.IsNaN(s) {
+			s = metric.Similarity(self, d.Profile)
+		}
+		ranked[i] = scored{d, s}
 	}
 	//whatsup:allow:hotalloc non-escaping swap closure
 	rng.Shuffle(len(ranked), func(i, j int) { ranked[i], ranked[j] = ranked[j], ranked[i] })
@@ -408,14 +358,30 @@ func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *pro
 			return 0
 		}
 	})
-	v.entries = v.entries[:0]
 	clear(v.index)
-	for _, r := range ranked[:v.capacity] {
-		v.index[r.d.Node] = len(v.entries)
-		v.entries = append(v.entries, r.d) //whatsup:allow:hotalloc shrinking below prior length, never grows
+	for i, r := range ranked[:v.capacity] {
+		v.entries[i], v.score[i] = r.d, r.s
+		v.index[r.d.Node] = i
 	}
-	clear(ranked) // drop descriptor refs held by the scratch backing array
+	// Drop the descriptor refs of trimmed-out candidates held by the backing
+	// arrays, so their profiles can be collected.
+	clear(v.entries[v.capacity:])
+	clear(ranked)
+	v.entries = v.entries[:v.capacity]
+	v.score = v.score[:v.capacity]
 	v.ranked = ranked[:0]
+}
+
+// keyScores points the score slots at self's current content, marking every
+// slot unscored when the target or its version changed.
+func (v *View) keyScores(self *profile.Profile) {
+	if v.self == self && v.version == self.Version() {
+		return
+	}
+	v.self, v.version = self, self.Version()
+	for i := range v.score {
+		v.score[i] = math.NaN()
+	}
 }
 
 // MostSimilar returns the entry whose profile is most similar to the target
@@ -423,24 +389,28 @@ func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *pro
 // the RPS neighbour closest to the item profile (Algorithm 2 line 27).
 // Ties are broken by node id. ok is false when the view is empty.
 //
-// When the target is the profile the view's cache is currently keyed to
-// (the node's own profile), scores are served from the cache; transient
-// targets such as per-item profiles are computed directly so they cannot
-// evict useful cached scores.
+// When the target is the profile the score slots are currently keyed to
+// (the node's own profile, at the same version), scores are read from and
+// filled into the slots; transient targets such as per-item profiles are
+// computed directly and leave the slots intact.
 //
 //whatsup:hotpath
 func (v *View) MostSimilar(metric profile.Metric, target *profile.Profile) (Descriptor, bool) {
 	if len(v.entries) == 0 {
 		return Descriptor{}, false
 	}
-	cached := v.cache.keyedTo(target)
+	keyed := target != nil && v.self == target && v.version == target.Version()
 	best, bestScore := -1, -1.0
 	for i, d := range v.entries {
-		var s float64
-		if cached {
-			s = v.cache.lookup(metric, target, d)
-		} else {
+		s := math.NaN()
+		if keyed {
+			s = v.score[i]
+		}
+		if math.IsNaN(s) {
 			s = metric.Similarity(target, d.Profile)
+			if keyed {
+				v.score[i] = s
+			}
 		}
 		if s > bestScore || (s == bestScore && (best < 0 || d.Node < v.entries[best].Node)) {
 			best, bestScore = i, s
@@ -460,8 +430,8 @@ func (v *View) Profiles() []*profile.Profile {
 }
 
 // Clone returns a deep copy of the view structure (descriptors themselves
-// are immutable and shared). Scratch buffers and the similarity cache are
-// not carried over.
+// are immutable and shared). Scratch buffers and similarity scores are not
+// carried over.
 func (v *View) Clone() *View {
 	c := NewView(v.capacity)
 	for _, d := range v.entries {

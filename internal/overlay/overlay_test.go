@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +223,10 @@ func (c *countingMetric) Similarity(n, p *profile.Profile) float64 {
 }
 
 func TestSimilarityCacheSkipsRescoring(t *testing.T) {
+	// The slot contract: entries that survive a trim keep their scores and
+	// are never rescored while self is unchanged; only newcomers are scored.
+	// A trimmed-out candidate offered again is a newcomer — the view does not
+	// remember scores of entries it no longer holds.
 	m := &countingMetric{inner: profile.WUP{}}
 	self := profile.New()
 	self.Set(1, 0, 1)
@@ -230,41 +236,50 @@ func TestSimilarityCacheSkipsRescoring(t *testing.T) {
 		descs = append(descs, desc(i, 0, 1, news.ID(i)))
 	}
 	v := NewView(3)
-	v.InsertAll(descs, 0)
+	v.InsertAll(descs[:4], 0)
 	rng := rand.New(rand.NewSource(4))
 	v.TrimBySimilarity(rng, m, self)
-	if m.calls == 0 {
-		t.Fatal("first trim must score candidates")
+	if m.calls != 4 {
+		t.Fatalf("first trim scored %d candidates, want all 4", m.calls)
 	}
-	// Same self version, same descriptor snapshots: every score must come
-	// from the cache.
+	// Re-offering the whole batch: the 3 survivors are not rescored, the
+	// trimmed-out candidate and the 2 unseen ones are.
 	v.InsertAll(descs, 0)
 	m.calls = 0
 	v.TrimBySimilarity(rng, m, self)
-	if m.calls != 0 {
-		t.Fatalf("unchanged (self, descriptor) pairs re-scored %d times", m.calls)
+	if m.calls != 3 {
+		t.Fatalf("second trim scored %d candidates, want the 3 newcomers only", m.calls)
 	}
-	// MostSimilar against the cached self must hit the cache too.
+	// MostSimilar against the keyed self reads the slots.
 	m.calls = 0
 	if _, ok := v.MostSimilar(m, self); !ok {
 		t.Fatal("view not empty")
 	}
 	if m.calls != 0 {
-		t.Fatalf("MostSimilar re-scored %d cached pairs", m.calls)
+		t.Fatalf("MostSimilar rescored %d slotted entries", m.calls)
 	}
-	// Mutating self bumps its version and must invalidate every score.
+	// A fresher descriptor replacing an entry is a new snapshot: its slot
+	// alone is rescored.
+	kept := v.Entries()[0]
+	v.Insert(desc(kept.Node, 1, 1))
+	m.calls = 0
+	v.MostSimilar(m, self)
+	if m.calls != 1 {
+		t.Fatalf("replaced entry: %d rescores, want 1", m.calls)
+	}
+	// Mutating self bumps its version and must rescore every slot.
 	self.Set(3, 1, 1)
 	v.InsertAll(descs, 0)
 	m.calls = 0
 	v.TrimBySimilarity(rng, m, self)
-	if m.calls == 0 {
-		t.Fatal("self mutation must invalidate the cache")
+	if m.calls != len(descs) {
+		t.Fatalf("self mutation: %d rescores, want all %d", m.calls, len(descs))
 	}
 }
 
 func TestSimilarityCacheTransientTargetsBypass(t *testing.T) {
 	// Per-item profiles (BEEP dislike orientation) are transient targets:
-	// they are computed directly and must not evict the cached self scores.
+	// they are computed directly and leave the self scores in the slots.
 	m := &countingMetric{inner: profile.WUP{}}
 	self := profile.New()
 	self.Set(1, 0, 1)
@@ -275,51 +290,114 @@ func TestSimilarityCacheTransientTargetsBypass(t *testing.T) {
 	v := NewView(2)
 	v.InsertAll(descs, 0)
 	rng := rand.New(rand.NewSource(5))
-	v.TrimBySimilarity(rng, m, self) // scores and caches all 4 candidates
+	v.TrimBySimilarity(rng, m, self) // scores all 4, keeps 2 in the slots
 	itemProfile := profile.New()
 	itemProfile.Set(1, 0, 1)
-	v.MostSimilar(m, itemProfile) // transient target: direct compute
+	m.calls = 0
+	v.MostSimilar(m, itemProfile)
+	if m.calls != v.Len() {
+		t.Fatalf("transient target: %d evaluations, want a direct one per entry (%d)", m.calls, v.Len())
+	}
+	m.calls = 0
+	v.MostSimilar(m, self)
+	if m.calls != 0 {
+		t.Fatalf("transient target disturbed the self slots: %d rescores", m.calls)
+	}
 	v.InsertAll(descs, 0)
 	m.calls = 0
 	v.TrimBySimilarity(rng, m, self)
-	if m.calls != 0 {
-		t.Fatalf("transient target evicted cached self scores: %d rescores", m.calls)
+	if m.calls != len(descs)-v.Len() {
+		t.Fatalf("transient target disturbed the self slots: %d rescores on trim, want %d", m.calls, len(descs)-v.Len())
 	}
 }
 
 func TestSimilarityCacheBitIdenticalScores(t *testing.T) {
-	// Every cached score must be the exact float a direct metric evaluation
-	// produces — the invariant that makes the cache invisible to simulation
-	// results. Exercised white-box over random views and targets.
-	for seed := int64(0); seed < 20; seed++ {
+	// Every slotted score must be the exact float a direct metric evaluation
+	// produces — the invariant that makes the slots invisible to simulation
+	// results. Exercised white-box over random sequences of every view
+	// mutation, with self mutating now and then and transient targets
+	// (which must not write the slots) interleaved.
+	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		self := profile.New()
-		for i := 0; i < 8; i++ {
-			self.Set(news.ID(rng.Int63n(30)), 0, float64(rng.Intn(2)))
-		}
-		v := NewView(4)
-		for i := 0; i < 12; i++ {
+		randomProfile := func() *profile.Profile {
 			p := profile.New()
 			for j := 0; j < 6; j++ {
 				p.Set(news.ID(rng.Int63n(30)), 0, float64(rng.Intn(2)))
 			}
-			v.Insert(Descriptor{Node: news.NodeID(i), Stamp: int64(i % 3), Profile: p})
+			return p
 		}
-		v.TrimBySimilarity(rng, profile.WUP{}, self) // keys and fills the cache
-		for _, d := range v.entries {
-			cached := v.cache.lookup(profile.WUP{}, self, d)
-			direct := profile.WUP{}.Similarity(self, d.Profile)
-			if cached != direct {
-				t.Fatalf("seed %d node %d: cached %v != direct %v", seed, d.Node, cached, direct)
+		self := randomProfile()
+		v := NewView(4)
+		for step := 0; step < 60; step++ {
+			node := news.NodeID(rng.Intn(12))
+			switch rng.Intn(8) {
+			case 0, 1:
+				v.Insert(Descriptor{Node: node, Stamp: rng.Int63n(8), Profile: randomProfile()})
+			case 2:
+				v.TrimBySimilarity(rng, profile.WUP{}, self)
+			case 3:
+				v.Remove(node)
+			case 4:
+				v.EvictOlderThan(rng.Int63n(3))
+			case 5:
+				v.MostSimilar(profile.WUP{}, self)
+			case 6:
+				self.Set(news.ID(rng.Int63n(30)), int64(step), float64(rng.Intn(2)))
+			case 7:
+				v.MostSimilar(profile.WUP{}, randomProfile())
+			}
+			if len(v.score) != len(v.entries) {
+				t.Fatalf("seed %d step %d: %d scores for %d entries", seed, step, len(v.score), len(v.entries))
+			}
+			if v.self != self || v.version != self.Version() {
+				continue // stale slots are never read
+			}
+			for i, d := range v.entries {
+				direct := profile.WUP{}.Similarity(self, d.Profile)
+				if s := v.score[i]; !math.IsNaN(s) && s != direct {
+					t.Fatalf("seed %d step %d node %d: slotted %v != direct %v", seed, step, d.Node, s, direct)
+				}
 			}
 		}
-		// The cached MostSimilar must agree with a cache-free clone.
+		// The slotted MostSimilar must agree with an unscored clone.
 		a, okA := v.MostSimilar(profile.WUP{}, self)
 		b, okB := v.Clone().MostSimilar(profile.WUP{}, self)
 		if okA != okB || a.Node != b.Node {
-			t.Fatalf("seed %d: cached MostSimilar %v, direct %v", seed, a.Node, b.Node)
+			t.Fatalf("seed %d: slotted MostSimilar %v, direct %v", seed, a.Node, b.Node)
 		}
 	}
+}
+
+func TestTrimmedOutProfileIsCollectable(t *testing.T) {
+	// A view must not pin the profile of a candidate it trimmed out: neither
+	// its backing arrays nor its scores keep the snapshot reachable.
+	self := profile.New()
+	self.Set(1, 0, 1)
+	v := NewView(1)
+	v.Insert(desc(1, 0, 1))
+	collected := make(chan struct{})
+	func() {
+		loser := desc(2, 0, 99)
+		runtime.SetFinalizer(loser.Profile, func(*profile.Profile) { close(collected) })
+		v.Insert(loser)
+	}()
+	v.TrimBySimilarity(rand.New(rand.NewSource(6)), profile.WUP{}, self)
+	if v.Len() != 1 || !v.Contains(1) {
+		t.Fatalf("trim kept %v, want node 1", v.Nodes())
+	}
+	// Finalizers run on their own goroutine after the collection that found
+	// the object unreachable; yield until it has run.
+	for i := 0; i < 200; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(v)
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
+	t.Fatal("trimmed-out descriptor profile is still reachable from the view")
 }
 
 func TestAppendRandomSampleMatchesPermDraws(t *testing.T) {

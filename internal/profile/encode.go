@@ -55,7 +55,7 @@ func (p *Profile) UnmarshalBinary(data []byte) error {
 	if len(data) < 4+n*wireEntrySize {
 		return fmt.Errorf("%w: want %d entries, have %d bytes", ErrTruncated, n, len(data)-4)
 	}
-	p.version++ // content replaced even when n == 0
+	p.touch() // content replaced even when n == 0
 	if p.shared.Load() {
 		p.entries = nil // abandon the COW-shared array instead of copying it
 		p.shared.Store(false)
@@ -103,11 +103,23 @@ func (p *Profile) AppendWire(buf []byte) []byte {
 
 // WireSize returns the exact number of bytes AppendWire produces for the
 // profile — the Figure 8b bandwidth accounting and the live transports share
-// the packed codec as their single source of truth. It walks the entries
-// without encoding, so simulation hot paths pay no allocation for it.
+// the packed codec as their single source of truth. The size is memoized
+// until the next mutation, so every send of an unchanged profile (a
+// descriptor snapshot, a BEEP clone) costs one atomic load; a miss walks the
+// entries without encoding, so simulation hot paths pay no allocation for it.
 //
 //whatsup:hotpath
 func (p *Profile) WireSize() int {
+	if n := p.wireSize.Load(); n != 0 {
+		return int(n)
+	}
+	n := p.walkWireSize()
+	p.wireSize.Store(int64(n))
+	return n
+}
+
+// walkWireSize computes WireSize from the entries.
+func (p *Profile) walkWireSize() int {
 	size := wire.UintLen(uint64(len(p.entries)))
 	prev := uint64(0)
 	for i, e := range p.entries {

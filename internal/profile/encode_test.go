@@ -90,3 +90,20 @@ func TestDecodeWireRejectsUnsortedDuplicate(t *testing.T) {
 		t.Fatalf("err=%v, want ErrMalformed", err)
 	}
 }
+
+func TestDecodeWireOverlongVarintSizesCanonically(t *testing.T) {
+	// The decoder accepts non-minimal varints, so the bytes a peer sent can
+	// exceed the canonical size. WireSize must still report what AppendWire
+	// produces, which is why DecodeWire does not seed the wire-size memo from
+	// the bytes it consumed.
+	p := wireSample()
+	canon := p.AppendWire(nil)
+	overlong := append([]byte{canon[0] | 0x80, 0x00}, canon[1:]...) // count as two bytes
+	q, rest, err := DecodeWire(overlong)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("overlong count must decode: err=%v rest=%d", err, len(rest))
+	}
+	if got := q.WireSize(); got != len(canon) {
+		t.Fatalf("WireSize=%d after decoding %d bytes, want canonical %d", got, len(overlong), len(canon))
+	}
+}

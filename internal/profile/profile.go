@@ -13,7 +13,7 @@
 // pointer-sized struct allocation, and folding a user profile into an item
 // profile is a single-pass two-pointer merge (MergeAverage). Every mutation
 // bumps a monotonic version counter, which the overlay layer uses to key its
-// similarity cache.
+// per-slot similarity scores, and forgets the memoized wire size.
 package profile
 
 import (
@@ -37,16 +37,18 @@ type Entry struct {
 // kept sorted by item id. The zero value is not ready to use; call New.
 //
 // Profiles are not goroutine-safe for mutation; engines serialize access per
-// owner. Clone, however, may be called concurrently with other Clones and
-// reads of the same profile (the shared flag is the only state it touches,
-// atomically), which is what lets the parallel simulator snapshot profiles
-// of idle peers during bootstrap.
+// owner. Clone and WireSize, however, may be called concurrently with each
+// other and with reads of the same profile (the shared flag and the
+// wire-size memo are the only state they write, atomically), which is what
+// lets the parallel simulator snapshot profiles of idle peers during
+// bootstrap and lets engine workers size one descriptor snapshot at once.
 type Profile struct {
-	entries []Entry // sorted by Item
-	sumSq   float64 // cached Σ score², so Norm is O(1)
-	version uint64  // bumped on every content mutation (similarity-cache key)
-	dirty   int     // subtractive float ops since the last exact sumSq recompute
-	shared  atomic.Bool
+	entries  []Entry // sorted by Item
+	sumSq    float64 // cached Σ score², so Norm is O(1)
+	version  uint64  // bumped on every content mutation (similarity-score key)
+	dirty    int     // subtractive float ops since the last exact sumSq recompute
+	shared   atomic.Bool
+	wireSize atomic.Int64 // memoized WireSize; 0 = unknown (a real size is ≥ 1)
 }
 
 // New returns an empty profile.
@@ -64,8 +66,15 @@ func (p *Profile) Len() int { return len(p.entries) }
 
 // Version returns the profile's monotonic mutation counter. Two reads
 // returning the same value bracket a span with identical content, which is
-// what makes (profile pointer, version) a sound similarity-cache key.
+// what makes (profile pointer, version) a sound similarity-score key.
 func (p *Profile) Version() uint64 { return p.version }
+
+// touch records a content mutation: it bumps the version and forgets the
+// memoized wire size.
+func (p *Profile) touch() {
+	p.version++
+	p.wireSize.Store(0)
+}
 
 // materialize gives the profile a private copy of its entries if the backing
 // array is shared with copy-on-write clones. extra reserves room for inserts.
@@ -105,7 +114,7 @@ func (p *Profile) Has(id news.ID) bool {
 //
 //whatsup:hotpath
 func (p *Profile) Set(id news.ID, stamp int64, score float64) {
-	p.version++
+	p.touch()
 	i, ok := p.search(id)
 	if ok {
 		p.materialize(0)
@@ -131,7 +140,7 @@ func (p *Profile) Set(id news.ID, stamp int64, score float64) {
 //
 //whatsup:hotpath
 func (p *Profile) AverageIn(id news.ID, stamp int64, score float64) {
-	p.version++
+	p.touch()
 	i, ok := p.search(id)
 	if ok {
 		p.materialize(0)
@@ -166,14 +175,15 @@ func (p *Profile) MergeAverage(other *Profile) {
 	if other == nil || len(other.entries) == 0 {
 		return
 	}
-	p.version++
+	p.touch()
 	if len(p.entries) == 0 {
 		// Merging into an empty profile copies other verbatim: share its
-		// entries copy-on-write and rebuild sumSq in ascending order (the
-		// canonical insert sequence), touching no heap.
+		// entries (and its wire size) copy-on-write and rebuild sumSq in
+		// ascending order (the canonical insert sequence), touching no heap.
 		other.shared.Store(true)
 		p.shared.Store(true)
 		p.entries = other.entries
+		p.wireSize.Store(other.wireSize.Load())
 		var sumSq float64
 		for _, e := range other.entries {
 			sumSq += e.Score * e.Score
@@ -223,7 +233,7 @@ func (p *Profile) Remove(id news.ID) {
 	if !ok {
 		return
 	}
-	p.version++
+	p.touch()
 	p.materialize(0)
 	old := p.entries[i].Score
 	p.sumSq -= old * old
@@ -248,7 +258,7 @@ func (p *Profile) PurgeOlderThan(minStamp int64) int {
 	if first < 0 {
 		return 0
 	}
-	p.version++
+	p.touch()
 	p.materialize(0)
 	kept := p.entries[:first]
 	dropped := 0
@@ -353,12 +363,23 @@ func (p *Profile) Entries() []Entry {
 // copy. BEEP clones the item profile on every forward so that copies of the
 // same item along different paths diverge (II-B); with copy-on-write the
 // forward itself costs one struct allocation and the copy is deferred to the
-// first receiver that actually diverges the profile.
+// first receiver that actually diverges the profile. The wire size is
+// computed once on p and handed down, so neither side walks its entries
+// again to count bytes until it mutates.
 func (p *Profile) Clone() *Profile {
-	p.shared.Store(true)
-	c := &Profile{entries: p.entries, sumSq: p.sumSq, version: p.version, dirty: p.dirty}
-	c.shared.Store(true)
+	// The body lives in cloneInto so that Clone stays within the inlining
+	// budget: inlined, a clone that does not escape its caller is allocated
+	// on the caller's stack.
+	c := &Profile{}
+	p.cloneInto(c)
 	return c
+}
+
+func (p *Profile) cloneInto(c *Profile) {
+	p.shared.Store(true)
+	c.entries, c.sumSq, c.version, c.dirty = p.entries, p.sumSq, p.version, p.dirty
+	c.shared.Store(true)
+	c.wireSize.Store(int64(p.WireSize()))
 }
 
 // Equal reports whether two profiles contain exactly the same entries.

@@ -3,6 +3,7 @@ package profile
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -461,5 +462,73 @@ func TestMarshalPropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestWireSizeMemoMatchesEntryWalk(t *testing.T) {
+	// The memoized WireSize must equal a fresh entry walk (and the encoded
+	// length) after any interleaving of mutations, copy-on-write clones,
+	// materializing writes to either side of a clone, merges into an empty
+	// profile (which share entries and the memo) and decodes — with the memo
+	// warmed by a read after every step, so a mutation that forgot to clear
+	// it would be caught.
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 100; trial++ {
+		pool := []*Profile{randomProfile(rng, rng.Intn(30), 60)}
+		for step := 0; step < 60; step++ {
+			p := pool[rng.Intn(len(pool))]
+			switch rng.Intn(5) {
+			case 0, 1:
+				mutate(p, rng) // on a shared side this is the COW materialize
+			case 2:
+				pool = append(pool, p.Clone())
+			case 3:
+				fresh := New()
+				fresh.MergeAverage(p)
+				pool = append(pool, fresh)
+			case 4:
+				b, _ := randomProfile(rng, rng.Intn(10), 60).MarshalBinary()
+				if err := p.UnmarshalBinary(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, q := range pool {
+				got, walk, enc := q.WireSize(), q.walkWireSize(), len(q.AppendWire(nil))
+				if got != walk || walk != enc {
+					t.Fatalf("trial %d step %d profile %d: WireSize=%d walk=%d encoded=%d",
+						trial, step, i, got, walk, enc)
+				}
+			}
+		}
+	}
+}
+
+func TestWireSizeConcurrentOnSharedSnapshot(t *testing.T) {
+	// Engine workers size the same descriptor snapshot at once, and clone it
+	// while they do; run under -race this pins the memo as race-free.
+	snap := randomProfile(rand.New(rand.NewSource(17)), 40, 1<<30)
+	want := len(snap.AppendWire(nil))
+	var wg sync.WaitGroup
+	errs := make(chan int, 8)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := snap.WireSize(); got != want {
+					errs <- got
+					return
+				}
+				if got := snap.Clone().WireSize(); got != want {
+					errs <- got
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for got := range errs {
+		t.Fatalf("concurrent WireSize=%d, want %d", got, want)
 	}
 }
